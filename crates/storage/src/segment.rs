@@ -43,15 +43,10 @@ fn block_crc(name: &str, payload: &[u8]) -> u32 {
     c.write(payload);
     c.finish()
 }
-/// Current format version (written by [`SegmentWriter`]).
-///
-/// Version 2 introduced the block-compressed posting-list payloads (see
-/// [`crate::postings`]); the container layout itself is unchanged, and
-/// readers accept both versions — v1 segments stay readable behind this tag.
+/// Format version written by [`SegmentWriter`] and the only one
+/// [`SegmentReader`] accepts; any other is
+/// [`StorageError::UnsupportedVersion`].
 pub const FORMAT_VERSION: u32 = 2;
-
-/// Oldest format version [`SegmentReader`] still accepts.
-pub const MIN_FORMAT_VERSION: u32 = 1;
 
 /// Accumulates named blocks and serializes them into a segment.
 #[derive(Debug, Default)]
@@ -106,7 +101,6 @@ impl SegmentWriter {
 /// Parses a segment and provides checked access to its blocks.
 #[derive(Debug)]
 pub struct SegmentReader {
-    version: u32,
     /// Per block: name, stored CRC, payload, payload's byte offset in the
     /// original buffer/file (for paged extent reads).
     blocks: Vec<(String, u32, Bytes, usize)>,
@@ -125,7 +119,7 @@ impl SegmentReader {
             return Err(StorageError::BadMagic);
         }
         let version = r.get_u32_le()?;
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(StorageError::UnsupportedVersion(version));
         }
         let n = r.get_varint()? as usize;
@@ -148,12 +142,7 @@ impl SegmentReader {
             let payload = r.get_raw(len)?;
             blocks.push((name, crc, payload, offset));
         }
-        Ok(SegmentReader { version, blocks })
-    }
-
-    /// Format version the segment was written with.
-    pub fn version(&self) -> u32 {
-        self.version
+        Ok(SegmentReader { blocks })
     }
 
     /// Reads and parses a segment from a file through the [`Vfs`] seam
@@ -226,7 +215,7 @@ pub fn verify_segment_file(
         return Err(StorageError::BadMagic);
     }
     let version = r.get_u32_le()?;
-    if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+    if version != FORMAT_VERSION {
         return Err(StorageError::UnsupportedVersion(version));
     }
     let n = r.get_varint()? as usize;
@@ -337,15 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_container_still_readable() {
-        let mut raw = sample_segment().to_vec();
-        raw[8] = 1; // version LE byte 0 → a v1-era file
-        let seg = SegmentReader::open(Bytes::from(raw)).unwrap();
-        assert_eq!(seg.version(), 1);
-        assert_eq!(seg.block("meta").unwrap().as_ref(), b"hello");
-    }
-
-    #[test]
     fn oversized_block_length_rejected_cleanly() {
         // Directory claims a payload far past the end of the buffer.
         let mut w = crate::codec::Writer::new();
@@ -363,12 +343,16 @@ mod tests {
 
     #[test]
     fn wrong_version() {
-        let mut raw = sample_segment().to_vec();
-        raw[8] = 99; // version LE byte 0
-        assert!(matches!(
-            SegmentReader::open(Bytes::from(raw)),
-            Err(StorageError::UnsupportedVersion(_))
-        ));
+        // A v1-era container is rejected with its version named, like any
+        // version other than the current one.
+        for version in [99u8, 1] {
+            let mut raw = sample_segment().to_vec();
+            raw[8] = version; // version LE byte 0
+            assert!(matches!(
+                SegmentReader::open(Bytes::from(raw)),
+                Err(StorageError::UnsupportedVersion(v)) if v == u32::from(version)
+            ));
+        }
     }
 
     #[test]
